@@ -40,30 +40,15 @@ func benchOptions() experiments.Options {
 // simulated application itself changes (benchdiff gates the same
 // invariant through the scale sweep).
 //
-// AMR64/np=8 is the headline case every optimization in DESIGN.md is
-// quoted against; the np=64 and np=256 columns track how the scheduler
-// holds up as the ready set deepens, and the AMR256-quick rows exercise
-// the scale sweep's problem shape on the cluster1024 platform.
+// AMR64 on chiba at np=8 is the headline case every optimization in
+// DESIGN.md is quoted against; the np=64 and np=256 columns track how the
+// scheduler holds up as the ready set deepens. Those rank counts exceed
+// chiba's 16 nodes, so they run on cluster1024, as do the AMR256-quick
+// rows that exercise the scale sweep's problem shape.
 func BenchmarkEngine(b *testing.B) {
-	amr256quick := enzo.AMR256()
-	amr256quick.Dims = [3]int{64, 64, 64}
-	amr256quick.NParticles = 64 * 64 * 64 / 2
-	cases := []struct {
-		problem string
-		cfg     enzo.Config
-		mach    machine.Config
-		np      int
-	}{
-		{"AMR64", benchProblem(), machine.ChibaCity(), 8},
-		{"AMR64", benchProblem(), machine.ChibaCity(), 64},
-		{"AMR64", benchProblem(), machine.ChibaCity(), 256},
-		{"AMR256-quick", amr256quick, machine.Cluster1024(), 8},
-		{"AMR256-quick", amr256quick, machine.Cluster1024(), 64},
-		{"AMR256-quick", amr256quick, machine.Cluster1024(), 256},
-	}
-	for _, c := range cases {
+	for _, c := range engineCases() {
 		c := c
-		b.Run(fmt.Sprintf("%s/np=%d", c.problem, c.np), func(b *testing.B) {
+		b.Run(c.name(), func(b *testing.B) {
 			var events int64
 			for i := 0; i < b.N; i++ {
 				res, err := enzo.RunOnce(c.mach, "pvfs", c.np, c.cfg, enzo.BackendMPIIO)
@@ -80,6 +65,43 @@ func BenchmarkEngine(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 		})
+	}
+}
+
+// engineCase is one BenchmarkEngine row: a problem run at np ranks on a
+// machine, named "<problem>/<machine>/np=<np>".
+type engineCase struct {
+	problem string
+	cfg     enzo.Config
+	mach    machine.Config
+	np      int
+}
+
+func (c engineCase) name() string {
+	return fmt.Sprintf("%s/%s/np=%d", c.problem, c.mach.Name, c.np)
+}
+
+func engineCases() []engineCase {
+	amr256quick := enzo.AMR256()
+	amr256quick.Dims = [3]int{64, 64, 64}
+	amr256quick.NParticles = 64 * 64 * 64 / 2
+	return []engineCase{
+		{"AMR64", benchProblem(), machine.ChibaCity(), 8},
+		{"AMR64", benchProblem(), machine.Cluster1024(), 64},
+		{"AMR64", benchProblem(), machine.Cluster1024(), 256},
+		{"AMR256-quick", amr256quick, machine.Cluster1024(), 8},
+		{"AMR256-quick", amr256quick, machine.Cluster1024(), 64},
+		{"AMR256-quick", amr256quick, machine.Cluster1024(), 256},
+	}
+}
+
+// TestEngineCasesFitTheirMachines checks, without running them, that every
+// BenchmarkEngine row asks for no more ranks than its machine has.
+func TestEngineCasesFitTheirMachines(t *testing.T) {
+	for _, c := range engineCases() {
+		if ranks := c.mach.Nodes * c.mach.ProcsPerNode; c.np > ranks {
+			t.Errorf("%s: np=%d exceeds %s's %d ranks", c.name(), c.np, c.mach.Name, ranks)
+		}
 	}
 }
 

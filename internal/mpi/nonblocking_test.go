@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestIsendIrecvBasic(t *testing.T) {
@@ -178,5 +181,49 @@ func TestWaitallRejectsForeignRequest(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Waitall accepted another rank's request")
+	}
+}
+
+// TestDeadlockReportNamesReceive pins the exact deadlock report of a
+// 2-rank world stuck in receives. Block reasons are rendered only when the
+// report is built, so this is the check that the lazily formatted reasons
+// still read "Recv(src=S, tag=T)" and "Wait(Irecv src=S, tag=T)".
+func TestDeadlockReportNamesReceive(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(r *Rank)
+		want string
+	}{
+		{"recv", func(r *Rank) {
+			if r.Rank() == 0 {
+				r.Recv(1, 5)
+			} else {
+				r.Compute(2_500_000) // 2.5 ms at the test rate of 1e9 updates/s
+				r.Recv(AnySource, AnyTag)
+			}
+		}, "sim: deadlock, 2 processes blocked: " +
+			"rank0@0.000000: Recv(src=1, tag=5); rank1@0.002500: Recv(src=-1, tag=-1)"},
+		{"irecv-wait", func(r *Rank) {
+			if r.Rank() == 0 {
+				r.Irecv(1, 3).Wait()
+			} else {
+				q := r.Irecv(0, 4)
+				r.Compute(2_500_000)
+				q.Wait()
+			}
+		}, "sim: deadlock, 2 processes blocked: " +
+			"rank0@0.000000: Wait(Irecv src=1, tag=3); rank1@0.002500: Wait(Irecv src=0, tag=4)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Simulate(testConfig(2, 1), 2, c.body)
+			var dl *sim.DeadlockError
+			if !errors.As(err, &dl) {
+				t.Fatalf("err = %v, want a deadlock", err)
+			}
+			if got := err.Error(); got != c.want {
+				t.Fatalf("deadlock report\n got %q\nwant %q", got, c.want)
+			}
+		})
 	}
 }

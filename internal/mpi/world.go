@@ -167,8 +167,18 @@ type Rank struct {
 	msgsSent  int64
 }
 
+// recvWait is the (src, tag) a blocked receive waits for. It doubles as
+// the receive's block reason, rendered only by a deadlock report.
 type recvWait struct {
 	src, tag int
+	irecv    bool // blocked in Request.Wait on an Irecv, not in Recv
+}
+
+func (w *recvWait) String() string {
+	if w.irecv {
+		return fmt.Sprintf("Wait(Irecv src=%d, tag=%d)", w.src, w.tag)
+	}
+	return fmt.Sprintf("Recv(src=%d, tag=%d)", w.src, w.tag)
 }
 
 // Rank returns this process's rank id.
@@ -284,7 +294,7 @@ func (r *Rank) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 		}
 		r.waiting = recvWait{src: src, tag: tag}
 		r.hasWaiting = true
-		r.proc.Block(fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
+		r.proc.Block(&r.waiting)
 	}
 }
 

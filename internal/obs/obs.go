@@ -126,9 +126,9 @@ func NewTracer() *Tracer {
 	}
 }
 
-// procTrace is the per-rank trace state. Only the owning process goroutine
-// touches it while the simulation runs (the engine resumes one process at a
-// time), so it is lock-free.
+// procTrace is the per-rank trace state. Only the owning process touches
+// it while the simulation runs (the engine resumes one process at a time),
+// so it is lock-free.
 type procTrace struct {
 	t     *Tracer
 	rank  int

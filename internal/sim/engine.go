@@ -1,8 +1,10 @@
+//go:build go1.23
+
 // Package sim implements a conservative, process-oriented discrete-event
 // simulation engine with virtual time.
 //
 // Every simulated process (an MPI rank, in this repository) runs as a
-// goroutine with its own virtual clock. The engine resumes exactly one
+// coroutine with its own virtual clock. The engine resumes exactly one
 // process at a time — always the ready process with the smallest
 // (virtual time, id) pair — so simulations are fully deterministic: the
 // same program produces bit-identical virtual timings on every run and on
@@ -16,21 +18,34 @@
 // backwards — guarantees that every Server observes requests in
 // nondecreasing virtual-time order, which keeps the queueing model causal.
 //
-// Scheduling is a direct goroutine-to-goroutine baton handoff over a
-// binary min-heap of ready processes: the yielding process pops the next
-// minimum and resumes it with a single channel send (one synchronization
-// per dispatch), and an Advance that still holds the minimum clock — the
-// common case inside compute loops — continues without any channel
-// operation at all. NewReferenceEngine retains the original central-loop
-// linear-scan scheduler as an oracle: both schedulers produce identical
-// dispatch sequences (see DESIGN.md §13 for the equivalence argument).
+// Run is a single scheduler loop over the processes' iter.Pull coroutines:
+// pop the ready process with the minimum (now, id) from a binary min-heap,
+// count the dispatch and resume it. A process that must let another run —
+// an Advance that loses the minimum, or a Block — yields back to the loop,
+// so a dispatch costs two coroutine switches (yield, then resume) instead
+// of a channel send plus a goroutine park and wake. An Advance that still
+// holds the minimum clock — the common case inside compute loops —
+// continues without switching at all. NewReferenceEngine retains the
+// original linear-scan scheduler as an oracle: both schedulers produce
+// identical dispatch sequences (see DESIGN.md §13 for the equivalence
+// argument).
+//
+// When the simulation fails — a deadlock, or a process body panicking —
+// Run stops every coroutine: a parked process's yield returns false, its
+// park panics with an internal sentinel, and its deferred cleanup runs
+// before Run returns.
+//
+// This file needs go1.23 for iter.Pull. The build constraint raises its
+// language version without raising go.mod's go line, which would force
+// every module that replaces this one (such as perfbench) to update its
+// own go.mod; the constraint can go once go.mod says go 1.23 or later.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // procState tracks where a process is in its lifecycle.
@@ -57,11 +72,16 @@ func (s procState) String() string {
 	return "unknown"
 }
 
-// killed is the sentinel panic that unwinds a process goroutine after the
-// engine has died (deadlock or another process's panic). The spawn wrapper
-// swallows it, so released goroutines run their deferred cleanup and exit
+// killed is the sentinel panic that unwinds a process after the engine has
+// died (deadlock or another process's panic). The coroutine wrapper
+// swallows it, so a stopped process runs its deferred cleanup and ends
 // instead of leaking.
 type killed struct{}
+
+// Reason is a literal block reason for Proc.Block.
+type Reason string
+
+func (r Reason) String() string { return string(r) }
 
 // Proc is a simulated process. A Proc is created by Engine.Spawn and its
 // methods may only be called from inside its own body function, except for
@@ -73,10 +93,13 @@ type Proc struct {
 
 	now    float64
 	state  procState
-	reason string // why blocked, for deadlock reports
-	woken  bool   // Wake delivered, dispatch pending (duplicate detection)
+	reason fmt.Stringer // why blocked, rendered only in deadlock reports
+	woken  bool         // Wake delivered, dispatch pending (duplicate detection)
 
-	resume chan struct{}
+	body  func(p *Proc)
+	next  func() (struct{}, bool) // resume the coroutine (Run's loop only)
+	stop  func()                  // end the coroutine (Run's teardown only)
+	yield func(struct{}) bool     // suspend back to Run's loop (park only)
 
 	// trace is an opaque per-process observability context (owned by
 	// package obs). The engine never reads it; it rides on the Proc so
@@ -125,15 +148,16 @@ func (p *Proc) Class() int { return p.class }
 // run first. Negative d panics: virtual time never flows backwards.
 //
 // When the advanced clock is still the minimum among ready processes the
-// process simply keeps running — no handoff, no channel operation. That
-// fast path is exact: the heap top is the minimum of every other ready
-// process, so the scheduler would have picked this process again anyway.
+// process simply keeps running — no coroutine switch. That fast path is
+// exact: the heap top is the minimum of every other ready process, so the
+// scheduler would have picked this process again anyway. The reference
+// engine has no fast path: it always yields and lets its linear scan pick.
 func (p *Proc) Advance(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q advanced by negative duration %g", p.name, d))
 	}
 	e := p.engine
-	if e.dead.Load() {
+	if e.err != nil {
 		panic(killed{})
 	}
 	p.now += d
@@ -142,20 +166,10 @@ func (p *Proc) Advance(d float64) {
 			e.events++
 			return
 		}
-		p.state = stateReady
 		e.heapPush(p)
-		e.handoff(p, e.heapPop())
-		return
 	}
-	// Reference scheduler: full linear scan on every yield, no fast path.
 	p.state = stateReady
-	next := e.minReady()
-	if next == p {
-		p.state = stateRunning
-		e.events++
-		return
-	}
-	e.handoff(p, next)
+	p.park()
 }
 
 // Yield gives the scheduler a chance to run earlier processes without
@@ -174,25 +188,42 @@ func (p *Proc) AdvanceTo(t float64) {
 }
 
 // Block parks the process until another process calls Engine.Wake on it.
-// reason appears in deadlock reports. On return the clock has been moved
-// to max(previous now, wake time).
-func (p *Proc) Block(reason string) {
-	e := p.engine
-	if e.dead.Load() {
+// reason is rendered only if the simulation deadlocks, so callers can pass
+// a pointer to state they already hold instead of formatting a string on
+// every block. On return the clock has been moved to max(previous now,
+// wake time).
+func (p *Proc) Block(reason fmt.Stringer) {
+	if p.engine.err != nil {
 		panic(killed{})
 	}
 	p.state = stateBlocked
 	p.reason = reason
-	next := e.pick()
-	if next == nil {
-		// Every unfinished process is blocked, this one included: declare
-		// the deadlock, release the others and unwind.
-		e.failDeadlock(p)
+	p.park()
+	p.reason = nil
+	p.woken = false
+}
+
+// park suspends the process back to Run's loop until its next dispatch.
+// A false yield means Run is tearing the simulation down: unwind.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	e.handoff(p, next)
-	p.reason = ""
-	p.woken = false
+}
+
+// run is the process's coroutine: it runs the body, counts the process
+// done when the body returns, and records a panic as the engine's failure.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		r := recover()
+		if _, isKilled := r.(killed); r != nil && !isKilled && p.engine.err == nil {
+			p.engine.err = &PanicError{ProcName: p.name, Value: r}
+		}
+	}()
+	p.body(p)
+	p.state = stateDone
+	p.engine.done++
 }
 
 // Engine owns a set of processes and schedules them in virtual time.
@@ -213,22 +244,14 @@ type Engine struct {
 	// path); see NewReferenceEngine.
 	ref bool
 
-	// dead flags a failed engine (deadlock or panic): every parked process
-	// is released with a killed sentinel so goroutines do not leak.
-	dead atomic.Bool
-
-	// term carries the simulation outcome from the last process goroutine
-	// to Run.
-	term chan termination
-}
-
-type termination struct {
+	// err is the simulation's failure (deadlock or panic). Once set the
+	// engine is dead: every engine call panics with the killed sentinel.
 	err error
 }
 
 // NewEngine returns an empty engine ready for Spawn calls.
 func NewEngine() *Engine {
-	return &Engine{term: make(chan termination, 1)}
+	return &Engine{}
 }
 
 // NewReferenceEngine returns an engine that schedules with the original
@@ -253,33 +276,9 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		name:   name,
 		engine: e,
 		state:  stateReady,
-		resume: make(chan struct{}),
+		body:   body,
 	}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		if e.dead.Load() {
-			return
-		}
-		p.state = stateRunning
-		defer func() {
-			r := recover()
-			if e.dead.Load() {
-				// The engine already failed: this goroutine was released
-				// (r is the killed sentinel) or declared the deadlock
-				// itself. Exit without touching the scheduler.
-				return
-			}
-			if r != nil {
-				e.fail(p, &PanicError{ProcName: p.name, Value: r})
-				return
-			}
-			p.state = stateDone
-			e.done++
-			e.finish()
-		}()
-		body(p)
-	}()
 	return p
 }
 
@@ -290,7 +289,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // layers above (message queues) are responsible for pairing blocks and
 // wakes exactly.
 func (e *Engine) Wake(target *Proc, at float64) {
-	if e.dead.Load() {
+	if e.err != nil {
 		panic(killed{})
 	}
 	if target.woken {
@@ -335,25 +334,37 @@ func (e *PanicError) Error() string {
 // a *DeadlockError if processes remain but none can run, and a *PanicError
 // if a process body panics. Run may be called only once.
 //
-// On either error every process goroutine is released: parked goroutines
-// are resumed with a poisoned engine, run their deferred cleanup and exit,
-// so a failed simulation does not leak goroutines.
+// Run is the scheduler loop: it resumes the next process, which runs until
+// it parks or ends. On either error every unfinished process is stopped
+// and runs its deferred cleanup before Run returns, so a failed simulation
+// does not leak goroutines.
 func (e *Engine) Run() error {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	if len(e.procs) == 0 {
-		return nil
-	}
-	if !e.ref {
-		for _, p := range e.procs {
+	for _, p := range e.procs {
+		p.next, p.stop = iter.Pull(p.run)
+		if !e.ref {
 			e.heapPush(p)
 		}
 	}
-	e.dispatch(e.pick())
-	t := <-e.term
-	return t.err
+	for e.err == nil {
+		p := e.pick()
+		if p == nil {
+			if e.done < len(e.procs) {
+				e.err = e.deadlock()
+			}
+			break
+		}
+		e.events++
+		p.state = stateRunning
+		p.next()
+	}
+	for _, p := range e.procs {
+		p.stop()
+	}
+	return e.err
 }
 
 // pick removes and returns the next process to run (nil when no process is
@@ -366,45 +377,9 @@ func (e *Engine) pick() *Proc {
 	return e.heapPop()
 }
 
-// dispatch resumes next without parking the caller — the Run seed and a
-// finishing process's last act.
-func (e *Engine) dispatch(next *Proc) {
-	e.events++
-	next.resume <- struct{}{}
-}
-
-// handoff passes the baton from p to next with a single channel send, then
-// parks p until its own next dispatch. This is the one synchronization per
-// dispatch that replaced the old resume+yield round trip through a central
-// scheduler loop.
-func (e *Engine) handoff(p, next *Proc) {
-	e.dispatch(next)
-	<-p.resume
-	if e.dead.Load() {
-		panic(killed{})
-	}
-	p.state = stateRunning
-}
-
-// finish runs as a completed process's last act: hand the baton to the
-// next ready process, or end the simulation.
-func (e *Engine) finish() {
-	next := e.pick()
-	if next == nil {
-		if e.done == len(e.procs) {
-			e.term <- termination{}
-			return
-		}
-		e.failDeadlock(nil)
-		return
-	}
-	e.dispatch(next)
-}
-
-// failDeadlock reports that no process can run. self is the blocked caller
-// when the deadlock was discovered inside Block (it must not be released —
-// it is not parked), nil when discovered by a finishing process.
-func (e *Engine) failDeadlock(self *Proc) {
+// deadlock reports that no process can run: every unfinished process is
+// blocked with no pending wake.
+func (e *Engine) deadlock() error {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == stateBlocked {
@@ -412,23 +387,7 @@ func (e *Engine) failDeadlock(self *Proc) {
 		}
 	}
 	sort.Strings(blocked)
-	e.fail(self, &DeadlockError{Blocked: blocked})
-}
-
-// fail poisons the engine, releases every parked process goroutine so none
-// leaks — each wakes, sees the dead flag, unwinds through its deferred
-// cleanup and exits — and delivers err to Run. self is excluded from the
-// release: it is the caller's own process (running, or blocked-but-not-yet
-// -parked inside Block) and unwinds itself.
-func (e *Engine) fail(self *Proc, err error) {
-	e.dead.Store(true)
-	for _, q := range e.procs {
-		if q == self || q.state == stateDone || q.state == stateRunning {
-			continue
-		}
-		q.resume <- struct{}{}
-	}
-	e.term <- termination{err: err}
+	return &DeadlockError{Blocked: blocked}
 }
 
 // lessProc is the scheduling order: earliest virtual time first, process

@@ -87,7 +87,7 @@ func TestBlockWake(t *testing.T) {
 	var wakeTime float64
 	var waiter *Proc
 	waiter = e.Spawn("waiter", func(p *Proc) {
-		p.Block("waiting for signal")
+		p.Block(Reason("waiting for signal"))
 		wakeTime = p.Now()
 	})
 	e.Spawn("signaler", func(p *Proc) {
@@ -108,7 +108,7 @@ func TestWakeNeverMovesClockBackwards(t *testing.T) {
 	var waiter *Proc
 	waiter = e.Spawn("waiter", func(p *Proc) {
 		p.Advance(100)
-		p.Block("waiting")
+		p.Block(Reason("waiting"))
 		wakeTime = p.Now()
 	})
 	e.Spawn("signaler", func(p *Proc) {
@@ -126,7 +126,7 @@ func TestWakeNeverMovesClockBackwards(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("stuck", func(p *Proc) {
-		p.Block("nothing will wake me")
+		p.Block(Reason("nothing will wake me"))
 	})
 	err := e.Run()
 	var dl *DeadlockError
@@ -224,14 +224,22 @@ func TestManyProcsDeterministic(t *testing.T) {
 // sequence (every proc observes the same (step, virtual time) trace) and
 // identical final clocks on NewEngine and NewReferenceEngine. The reference
 // engine is the original pre-heap linear scan, so agreement here is the
-// determinism argument for the O(log n) scheduler (DESIGN.md §13).
+// determinism argument for the O(log n) scheduler (DESIGN.md §13). It runs
+// 64 processes, the scale at which the coroutine hand-off matters, over
+// several random programs.
 func TestHeapMatchesReferenceOracle(t *testing.T) {
+	for _, seed := range []int64{1000, 7000, 13000} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkHeapMatchesReference(t, seed) })
+	}
+}
+
+func checkHeapMatchesReference(t *testing.T, seed int64) {
 	type result struct {
 		trace  []string
 		times  []float64
 		events int64
 	}
-	const nprocs = 12
+	const nprocs = 64
 	run := func(newEngine func() *Engine) result {
 		e := newEngine()
 		var trace []string
@@ -244,7 +252,7 @@ func TestHeapMatchesReferenceOracle(t *testing.T) {
 		// driven by engine dispatch order, so the run stays deterministic.
 		for i := 0; i < nprocs; i++ {
 			id := i
-			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			rng := rand.New(rand.NewSource(seed + int64(i)))
 			procs[i] = e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for k := 0; k < 40; k++ {
 					trace = append(trace, fmt.Sprintf("p%d#%d@%.9g", id, k, p.Now()))
@@ -263,7 +271,7 @@ func TestHeapMatchesReferenceOracle(t *testing.T) {
 						p.Advance(rng.Float64() / 4)
 					case 3:
 						if id != 0 {
-							p.Block("awaiting sweep or peer wake")
+							p.Block(Reason("awaiting sweep or peer wake"))
 						} else {
 							p.Yield()
 						}
@@ -310,49 +318,123 @@ func TestHeapMatchesReferenceOracle(t *testing.T) {
 }
 
 // TestNoGoroutineLeakOnFailure asserts that a failed simulation — deadlock
-// or a panicking process body — releases every process goroutine: blocked,
-// parked-ready and never-dispatched alike. Regression test for the leak the
-// old central-loop engine had on both failure paths.
+// or a panicking process body — stops every process coroutine before Run
+// returns: blocked, parked-ready and never-dispatched alike, each running
+// its deferred cleanup. It also checks that a dead engine refuses further
+// Advance, Block and Wake calls instead of resuming anything.
 func TestNoGoroutineLeakOnFailure(t *testing.T) {
 	base := runtime.NumGoroutine()
+	unwound := 0 // deferred cleanups run by process bodies
+	cleanup := func() { unwound++ }
+	expect := func(what string, err error, wantUnwound int) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: Run succeeded, want a failure", what)
+		}
+		if unwound != wantUnwound {
+			t.Fatalf("%s: %d deferred cleanups ran, want %d", what, unwound, wantUnwound)
+		}
+		unwound = 0
+	}
 
 	// Deadlock path: every proc blocks with no pending wake.
 	e := NewEngine()
 	for i := 0; i < 8; i++ {
 		e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+			defer cleanup()
 			p.Advance(float64(p.ID()))
-			p.Block("never woken")
+			p.Block(Reason("never woken"))
 		})
 	}
 	var dl *DeadlockError
-	if err := e.Run(); !errors.As(err, &dl) {
+	err := e.Run()
+	if !errors.As(err, &dl) {
 		t.Fatalf("want DeadlockError, got %v", err)
 	}
+	expect("all blocked", err, 8)
+
+	// Deadlock found by the scheduler loop once the last runnable proc
+	// finishes, not by a proc that blocks.
+	e = NewEngine()
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+			defer cleanup()
+			p.Block(Reason("never woken"))
+		})
+	}
+	e.Spawn("finisher", func(p *Proc) {
+		defer cleanup()
+		p.Advance(5)
+	})
+	err = e.Run()
+	if !errors.As(err, &dl) || len(dl.Blocked) != 4 {
+		t.Fatalf("want DeadlockError with 4 blocked, got %v", err)
+	}
+	expect("after last finish", err, 5)
 
 	// Panic path: the bomb fails the engine while peers are a mix of
 	// parked-ready (large advances) and blocked.
 	e = NewEngine()
 	e.Spawn("bomb", func(p *Proc) {
+		defer cleanup()
 		p.Advance(1)
 		panic("boom")
 	})
+	var ready, blocked *Proc
 	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("ready%d", i), func(p *Proc) {
+		ready = e.Spawn(fmt.Sprintf("ready%d", i), func(p *Proc) {
+			defer cleanup()
 			for {
 				p.Advance(100)
 			}
 		})
 	}
-	e.Spawn("blocked", func(p *Proc) {
-		p.Block("waiting forever")
+	blocked = e.Spawn("blocked", func(p *Proc) {
+		defer cleanup()
+		p.Block(Reason("waiting forever"))
 	})
 	var pe *PanicError
-	if err := e.Run(); !errors.As(err, &pe) {
-		t.Fatalf("want PanicError, got %v", err)
+	err = e.Run()
+	if !errors.As(err, &pe) || pe.ProcName != "bomb" {
+		t.Fatalf("want PanicError from bomb, got %v", err)
+	}
+	expect("panic with peers ready and blocked", err, 6)
+
+	// The engine is dead: every entry point panics with the killed
+	// sentinel and nothing resumes.
+	for name, call := range map[string]func(){
+		"Wake":    func() { e.Wake(blocked, 200) },
+		"Advance": func() { ready.Advance(1) },
+		"Block":   func() { ready.Block(Reason("late")) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(killed); !ok {
+					t.Errorf("%s on a dead engine did not panic with the killed sentinel", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if unwound != 0 {
+		t.Fatalf("calls on a dead engine ran %d process cleanups", unwound)
 	}
 
-	// Released goroutines unwind asynchronously after Run returns; poll
-	// until the count is back at (or below) the pre-test baseline.
+	// Panic before any peer is dispatched: the peers never start, so they
+	// have no cleanup to run, but their coroutines must still end.
+	e = NewEngine()
+	e.Spawn("early", func(p *Proc) { panic("early") })
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprintf("idle%d", i), func(p *Proc) {
+			defer cleanup()
+			p.Advance(1)
+		})
+	}
+	expect("panic before peers start", e.Run(), 0)
+
+	// Teardown is synchronous, but a coroutine's goroutine may take a
+	// moment to be reaped; poll until the count is back at (or below) the
+	// pre-test baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= base {
@@ -509,13 +591,13 @@ func TestPingPong(t *testing.T) {
 			}
 			aTurn = false
 			p.Engine().Wake(b, p.Now()+1)
-			p.Block("await pong")
+			p.Block(Reason("await pong"))
 		}
 		aEnd = p.Now()
 	})
 	b = e.Spawn("b", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			p.Block("await ping")
+			p.Block(Reason("await ping"))
 			if aTurn {
 				panic("protocol violation")
 			}
@@ -565,7 +647,7 @@ func TestDeadlockReportSorted(t *testing.T) {
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		n := name
 		e.Spawn(n, func(p *Proc) {
-			p.Block("stuck " + n)
+			p.Block(Reason("stuck " + n))
 		})
 	}
 	err := e.Run()

@@ -11,89 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestByteStoreRoundTrip(t *testing.T) {
-	st := NewByteStore()
-	data := []byte("the quick brown fox")
-	st.WriteAt(data, 100)
-	if st.Size() != 100+int64(len(data)) {
-		t.Fatalf("size = %d", st.Size())
-	}
-	buf := make([]byte, len(data))
-	st.ReadAt(buf, 100)
-	if !bytes.Equal(buf, data) {
-		t.Fatalf("read back %q", buf)
-	}
-}
-
-func TestByteStoreHolesReadZero(t *testing.T) {
-	st := NewByteStore()
-	st.WriteAt([]byte{0xFF}, 200000) // spans multiple pages
-	buf := make([]byte, 10)
-	st.ReadAt(buf, 0)
-	for _, b := range buf {
-		if b != 0 {
-			t.Fatal("hole did not read as zero")
-		}
-	}
-	one := make([]byte, 1)
-	st.ReadAt(one, 200000)
-	if one[0] != 0xFF {
-		t.Fatal("written byte lost")
-	}
-}
-
-func TestByteStoreCrossPageWrite(t *testing.T) {
-	st := NewByteStore()
-	data := make([]byte, 3*storePageSize+17)
-	rng := rand.New(rand.NewSource(7))
-	rng.Read(data)
-	off := int64(storePageSize - 13)
-	st.WriteAt(data, off)
-	buf := make([]byte, len(data))
-	st.ReadAt(buf, off)
-	if !bytes.Equal(buf, data) {
-		t.Fatal("cross-page round trip failed")
-	}
-}
-
-func TestByteStoreTruncate(t *testing.T) {
-	st := NewByteStore()
-	st.WriteAt([]byte("abc"), 0)
-	st.Truncate()
-	if st.Size() != 0 {
-		t.Fatal("truncate did not reset size")
-	}
-	buf := make([]byte, 3)
-	st.ReadAt(buf, 0)
-	if !bytes.Equal(buf, []byte{0, 0, 0}) {
-		t.Fatal("truncate did not clear data")
-	}
-}
-
-// Property: random sequences of writes against ByteStore match a reference
-// flat-slice model.
-func TestByteStoreMatchesReferenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st := NewByteStore()
-		ref := make([]byte, 1<<18)
-		for i := 0; i < 30; i++ {
-			off := rng.Int63n(1 << 17)
-			n := rng.Intn(1 << 12)
-			data := make([]byte, n)
-			rng.Read(data)
-			st.WriteAt(data, off)
-			copy(ref[off:], data)
-		}
-		buf := make([]byte, len(ref))
-		st.ReadAt(buf, 0)
-		return bytes.Equal(buf, ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStripeSplitCoversExtentExactly(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
